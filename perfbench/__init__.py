@@ -1,0 +1,1 @@
+"""The lightweb benchmark; run ``python3 perfbench/run.py --help``."""
