@@ -1,19 +1,17 @@
 """Smoke-run the E12 concurrency benchmark at toy sizes.
 
 Tier-1 runs this (via ``tests/integration/test_async_bench_smoke.py``) so
-both concurrency architectures — the selector-reactor session core and
-the shared-memory multiprocess scan pool — are exercised against their
-thread-based baselines on every test run. It records timings but gates
-only on *structure* and *correctness*:
+both concurrency layers — the selector-reactor session core and the
+shared-memory multiprocess scan pool — are exercised on every test run.
+It records timings but gates only on *structure* and *correctness*:
 
-- the event-loop server must hold at least as many concurrent sessions as
-  the threaded baseline while spending exactly **one** service thread
-  (the threaded baseline spends one per session);
+- the reactor must hold ``SESSIONS`` negotiated sessions on exactly
+  **one** service thread, and still answer a live private GET;
 - pool answers must be bitwise identical to thread-engine answers.
 
-Perf claims (engine speedup at ≥4 workers, the 10× sessions-per-thread
-ratio at scale) live in ``benchmarks/bench_e12_async_sessions.py`` at
-real sizes, where they are meaningful.
+Perf claims (engine speedup at ≥4 workers, 400 sessions on one thread)
+live in ``benchmarks/bench_e12_async_sessions.py`` at real sizes, where
+they are meaningful.
 
 Run standalone::
 
@@ -31,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.zltp import messages as msg
+from repro.core.zltp.client import connect_client
+from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import create_tcp_server, server_kinds
 from repro.core.zltp.sockets import connect_tcp
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.crypto.dpf import gen_dpf
@@ -61,35 +60,17 @@ def _build_logical(party: int = 0) -> ZltpServer:
                       probes=2)
 
 
-def _hello_roundtrip(address) -> bool:
-    """One full hello over a fresh socket; returns negotiation success."""
-    sock = socket.create_connection(address, timeout=10)
-    try:
-        sock.sendall(encode_frame(msg.encode_message(
-            msg.ClientHello(["pir2"]))))
-        sock.settimeout(10)
-        decoder = FrameDecoder()
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                return False
-            frames = decoder.feed(chunk)
-            if frames:
-                return isinstance(msg.decode_message(frames[0]),
-                                  msg.ServerHello)
-    finally:
-        sock.close()
-
-
-def _measure_sessions(kind: str, n_sessions: int = SESSIONS) -> dict:
-    """Hold ``n_sessions`` negotiated sessions open under one listener."""
-    listener = create_tcp_server(kind, _build_logical())
+def _measure_sessions(n_sessions: int = SESSIONS) -> dict:
+    """Hold ``n_sessions`` negotiated sessions on the party-0 reactor,
+    then run one private GET through both parties."""
+    listeners = [ZltpEventLoopServer(_build_logical(party))
+                 for party in (0, 1)]
     socks = []
     try:
         t0 = time.perf_counter()
-        decoder_ok = 0
+        negotiated = 0
         for _ in range(n_sessions):
-            sock = socket.create_connection(listener.address, timeout=10)
+            sock = socket.create_connection(listeners[0].address, timeout=10)
             sock.sendall(encode_frame(msg.encode_message(
                 msg.ClientHello(["pir2"]))))
             socks.append(sock)
@@ -101,26 +82,30 @@ def _measure_sessions(kind: str, n_sessions: int = SESSIONS) -> dict:
                 chunk = sock.recv(65536)
                 if not chunk:
                     break
-                if decoder.feed(chunk):
-                    decoder_ok += 1
+                frames = decoder.feed(chunk)
+                if frames:
+                    if isinstance(msg.decode_message(frames[0]),
+                                  msg.ServerHello):
+                        negotiated += 1
                     break
         open_seconds = time.perf_counter() - t0
         deadline = time.monotonic() + 5
-        while listener.active_connections < n_sessions and \
+        while listeners[0].active_connections < n_sessions and \
                 time.monotonic() < deadline:
             time.sleep(0.01)
-        concurrent = listener.active_connections
-        threads = listener.worker_count
-        # The listener still does real work while holding them all.
-        roundtrip_ok = _hello_roundtrip(listener.address)
+        concurrent = listeners[0].active_connections
+        threads = listeners[0].worker_count
+        # The reactor still does real work while holding them all.
+        client = connect_client([connect_tcp(*listener.address)
+                                 for listener in listeners])
+        get_ok = client.get("s3.com/p") == b"e12-3"
+        client.close()
         return {
-            "kind": kind,
             "concurrent_sessions": concurrent,
-            "negotiated_sessions": decoder_ok,
+            "negotiated_sessions": negotiated,
             "service_threads": threads,
-            "sessions_per_thread": concurrent / threads if threads else None,
             "open_seconds": open_seconds,
-            "get_roundtrip_ok": roundtrip_ok,
+            "get_ok": get_ok,
         }
     finally:
         for sock in socks:
@@ -128,7 +113,8 @@ def _measure_sessions(kind: str, n_sessions: int = SESSIONS) -> dict:
                 sock.close()
             except OSError:
                 pass
-        listener.stop()
+        for listener in listeners:
+            listener.stop()
 
 
 def _timed(fn):
@@ -181,7 +167,7 @@ def run() -> dict:
     return {
         "experiment": "E12 async sessions + multiprocess scan workers "
                       "(smoke, toy sizes)",
-        "sessions": [_measure_sessions(kind) for kind in server_kinds()],
+        "sessions": _measure_sessions(),
         "engine": _measure_engines(),
     }
 
@@ -195,15 +181,16 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {args.out}")
     failures = []
-    by_kind = {entry["kind"]: entry for entry in data["sessions"]}
-    eventloop, threaded = by_kind["eventloop"], by_kind["threaded"]
-    if eventloop["concurrent_sessions"] < threaded["concurrent_sessions"]:
-        failures.append("event loop sustained fewer sessions than threads")
-    if eventloop["service_threads"] != 1:
-        failures.append("event loop spent more than one service thread")
-    for entry in data["sessions"]:
-        if not entry["get_roundtrip_ok"]:
-            failures.append(f"{entry['kind']} failed the live roundtrip")
+    sessions = data["sessions"]
+    if not sessions["concurrent_sessions"] == \
+            sessions["negotiated_sessions"] == SESSIONS:
+        failures.append(f"the reactor held {sessions['concurrent_sessions']}"
+                        f" sessions ({sessions['negotiated_sessions']} "
+                        f"negotiated), not {SESSIONS}")
+    if sessions["service_threads"] != 1:
+        failures.append("the reactor spent more than one service thread")
+    if not sessions["get_ok"]:
+        failures.append("the loaded reactor failed the live GET")
     for entry in data["engine"]:
         if not entry["answers_match"]:
             failures.append(f"{entry['engine']} answers diverged")

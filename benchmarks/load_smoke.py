@@ -36,8 +36,8 @@ import numpy as np
 
 from repro.core.discovery import CachingResolver, static_directory
 from repro.core.zltp.admission import AdmissionController
+from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import create_tcp_server
 from repro.costmodel.capacity import SaturationCurve
 from repro.loadgen import LoadgenConfig, build_client, sweep_load
 from repro.pir.database import BlobDatabase
@@ -90,6 +90,9 @@ class SlowScanDatabase(BlobDatabase):
 def build_fixture():
     """Two slow pir2 data servers (the non-colluding pair) over TCP.
 
+    Each party is served by its own reactor, which gates every GET read
+    in a tick before it answers any, so the gate sees the whole backlog.
+
     Returns ``(resolver, servers, listeners)``; the servers start with
     no admission gate (the off-curve state).
     """
@@ -103,7 +106,7 @@ def build_fixture():
                         bytes(rng.integers(0, 256, 64, dtype=np.uint8)))
         server = ZltpServer(db, modes=["pir2"], party=party)
         servers.append(server)
-        listeners.append(create_tcp_server("threaded", server, port=0))
+        listeners.append(ZltpEventLoopServer(server))
     directory = static_directory(
         "127.0.0.1",
         {"data": [listener.address[1] for listener in listeners]},

@@ -42,11 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra listeners per endpoint over the same "
                             "logical servers — failover targets for "
                             "resilient clients")
-    serve.add_argument("--server-kind", default=None,
-                       help="session core for every listener: 'eventloop' "
-                            "(one reactor thread multiplexing all "
-                            "sessions; default) or 'threaded' "
-                            "(thread-per-connection fallback)")
     serve.add_argument("--directory", default=None, metavar="HOST:PORT",
                        help="announce this deployment's endpoints to a "
                             "directory server (`lightweb directory`); "

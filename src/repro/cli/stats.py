@@ -2,8 +2,8 @@
 
 Fetches the stats exposition a :class:`~repro.core.zltp.sockets.
 StatsTcpServer` serves (``lightweb serve --stats-port``, or the
-``stats_port`` argument of :class:`~repro.core.zltp.sockets.
-ZltpTcpServer`) and prints it: the Prometheus-style text form by
+``stats_port`` argument of :class:`~repro.core.zltp.eventloop.
+ZltpEventLoopServer`) and prints it: the Prometheus-style text form by
 default, or the raw JSON snapshot with ``--json``.
 
 With ``--directory HOST:PORT`` the single-server scrape becomes a fleet

@@ -178,36 +178,13 @@ def current_request_stats() -> Optional[RequestStats]:
     return _active_stats.get()
 
 
-def timed_answer(server: "PirBackend", payload: bytes,
-                 stats: RequestStats) -> bytes:
-    """Run one backend ``answer`` call, accounting it on ``stats``."""
-    with span("backend.answer") as sp:
-        token = _active_stats.set(stats)
-        try:
-            answer = server.answer(payload)
-        finally:
-            _active_stats.reset(token)
-        sp.annotate(bytes_up=len(payload), bytes_down=len(answer))
-    stats.add(queries=1, bytes_up=len(payload), bytes_down=len(answer),
-              scan_seconds=sp.elapsed)
-    return answer
-
-
 def timed_answer_batch(server: "PirBackend", payloads: Sequence[bytes],
                        stats: RequestStats) -> List[bytes]:
-    """Run one backend ``answer_batch`` call, accounting it on ``stats``.
-
-    Falls back to per-payload ``answer`` calls when the backend does not
-    implement batching.
-    """
-    with span("backend.answer_batch", batch=len(payloads)) as sp:
+    """Run one backend ``answer_batch`` call, accounting it on ``stats``."""
+    with span("backend.answer", batch=len(payloads)) as sp:
         token = _active_stats.set(stats)
         try:
-            answer_batch = getattr(server, "answer_batch", None)
-            if answer_batch is not None:
-                answers = answer_batch(list(payloads))
-            else:
-                answers = [server.answer(payload) for payload in payloads]
+            answers = server.answer_batch(list(payloads))
         finally:
             _active_stats.reset(token)
         bytes_up = sum(len(p) for p in payloads)
@@ -575,7 +552,6 @@ def create_client(mode: str, domain_bits: int, blob_size: int,
 __all__ = [
     "RequestStats",
     "current_request_stats",
-    "timed_answer",
     "timed_answer_batch",
     "PirBackend",
     "PirBackendClient",

@@ -45,11 +45,18 @@ Whichever regime the server is in, one of the two is tight, so the
 
 Both inputs are aggregate load statistics, never per-client or
 per-request content, so the decision leaks nothing about what anyone is
-fetching (the same zero-leakage discipline as the metrics registry). The
-gate hangs off :class:`~repro.core.zltp.server.ZltpServer` and is checked
-inside :class:`~repro.core.zltp.server.ZltpServerSession` — the state
-machine both serving kinds (eventloop and threaded) share — so one
-controller covers every transport.
+fetching (the same zero-leakage discipline as the metrics registry).
+
+One controller covers every transport. The gate hangs off
+:class:`~repro.core.zltp.server.ZltpServer`, and the only caller of
+:meth:`AdmissionController.try_admit` is
+:meth:`~repro.core.zltp.server.ZltpServerSession.admit`, once per run of
+pipelined GETs; the session's one GET path releases what it admitted.
+In-memory transports reach it frame by frame. The TCP reactor
+(:class:`~repro.core.zltp.eventloop.ZltpEventLoopServer`) reads and
+decodes every readable connection first, then admits every GET run of
+the tick in arrival order, and only then answers. So the queue the gate
+sees holds every request already read, not just the one being served.
 
 Outcomes are exported through the ``admission_*`` metrics and the
 server's :meth:`~repro.core.zltp.server.ZltpServer.capability_snapshot`

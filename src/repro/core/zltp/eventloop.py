@@ -1,13 +1,10 @@
 """Event-loop ZLTP serving: one reactor multiplexing thousands of sessions.
 
-The thread-per-connection :class:`~repro.core.zltp.sockets.ZltpTcpServer`
-was the right prototype — a PIR answer is a linear database scan, so a
-handful of connections saturate the scan path long before threads matter.
-The paper's deployment story (§5.2) is different: a front-end holding
-*many* mostly-idle client sessions open at once while fanning each request
-out to hundreds of data servers. A thread per idle session spends a stack
-and a scheduler slot on a connection that is doing nothing; this module
-spends a ~200-byte :class:`_Connection` record instead.
+The paper's deployment story (§5.2) is a front-end holding *many*
+mostly-idle client sessions open at once while fanning each request out
+to hundreds of data servers. A thread per idle session would spend a
+stack and a scheduler slot on a connection that is doing nothing; this
+module spends a ~200-byte :class:`_Connection` record instead.
 
 :class:`ZltpEventLoopServer` runs a single reactor thread over a
 ``selectors.DefaultSelector`` (epoll on Linux):
@@ -17,14 +14,18 @@ spends a ~200-byte :class:`_Connection` record instead.
 - replies accumulate in a per-connection write buffer which drains on
   writability — a slow reader backs pressure into its own buffer, never
   into a blocked thread;
-- frames that arrive together still reach
-  :meth:`~repro.core.zltp.server.ZltpServerSession.handle_frames` as one
-  burst, so pipelined GETs keep hitting the single-pass batched scan;
+- each tick reads every readable connection into its session, then
+  (with an admission gate) admits every GET read, in arrival order,
+  then answers each connection owed only fast replies and at most one
+  owed a scan, polling again at once while answers are owed. This way
+  the gate sees every admitted GET still waiting on the scan (DESIGN.md,
+  "Arrival-time admission"), and pipelined GETs still reach the
+  single-pass batched scan;
 - sessions idle past ``idle_timeout`` are reaped with a best-effort
   ``idle-timeout`` error frame (a reactor cannot afford parked-forever
   peers holding fds);
-- :meth:`stop` has the same deterministic discipline as the threaded
-  server: wake the reactor, drain it, join it, and leave no socket open.
+- :meth:`stop` is deterministic: wake the reactor, drain it, join it,
+  and leave no socket open.
 
 Thread discipline: all per-connection state (the selector, the connection
 table, decoders, write buffers) is *owned by the reactor thread* — only
@@ -32,10 +33,6 @@ table, decoders, write buffers) is *owned by the reactor thread* — only
 (see DESIGN.md). Cross-thread communication happens exactly two ways: the
 ``_stopping`` event plus self-pipe wakeup, and atomic counter reads that
 tolerate racing (``active_connections``).
-
-The shared serving interface (``address``, ``stats``, ``stats_snapshot``,
-``active_connections``, ``worker_count``, ``stop``) is what
-:mod:`repro.core.zltp.serving` registers both flavours behind.
 """
 
 from __future__ import annotations
@@ -65,11 +62,13 @@ _log = get_logger(__name__)
 class _Connection:
     """Reactor-owned state for one client socket."""
 
-    __slots__ = ("sock", "session", "decoder", "outbuf", "last_activity",
-                 "closing", "want_write")
+    __slots__ = ("sock", "fd", "session", "decoder", "outbuf",
+                 "last_activity", "closing", "want_write")
 
     def __init__(self, sock: socket.socket, session, now: float):
         self.sock = sock
+        #: The connection-table key, fixed at accept time.
+        self.fd = sock.fileno()
         self.session = session
         self.decoder = FrameDecoder()
         self.outbuf = bytearray()
@@ -83,9 +82,7 @@ class _Connection:
 class ZltpEventLoopServer:
     """Serve a logical ZLTP server from one selector-driven reactor.
 
-    Drop-in for :class:`~repro.core.zltp.sockets.ZltpTcpServer` behind the
-    shared serving interface; the difference is purely architectural —
-    thousands of concurrent sessions cost one thread, not thousands.
+    Thousands of concurrent sessions cost one thread, not thousands.
 
     Attributes:
         server: the logical :class:`ZltpServer` being exposed.
@@ -95,14 +92,10 @@ class ZltpEventLoopServer:
             (None = never).
     """
 
-    #: Registry name; also the ``server`` label on the session gauge.
-    kind = "eventloop"
-
     def __init__(self, server: ZltpServer, host: str = "127.0.0.1",
                  port: int = 0, stats_port: Optional[int] = None,
                  idle_timeout: Optional[float] = None,
-                 tick_seconds: float = 0.5,
-                 io_timeout: Optional[float] = None):
+                 tick_seconds: float = 0.5):
         """Bind, then start the reactor thread.
 
         Args:
@@ -114,10 +107,6 @@ class ZltpEventLoopServer:
             idle_timeout: reap sessions idle this long; None disables.
             tick_seconds: upper bound on the reactor's select() sleep —
                 the granularity of idle sweeps and stop() responsiveness.
-            io_timeout: per-connection recv/send timeout for the stats
-                sidecar (the reactor's own sockets are non-blocking, so
-                data-path idleness is ``idle_timeout``'s job); None keeps
-                the sidecar default.
         """
         self.server = server
         self.idle_timeout = idle_timeout
@@ -134,6 +123,8 @@ class ZltpEventLoopServer:
         self._wake_recv.setblocking(False)
         self._selector = selectors.DefaultSelector()  # owned-by: _react
         self._conns: Dict[int, _Connection] = {}  # owned-by: _react
+        # Connections owed an answer, oldest first (keyed like _conns).
+        self._backlog: Dict[int, _Connection] = {}  # owned-by: _react
         # Counters: written by the reactor, read from any thread; racy
         # reads of monotonic ints are tolerated (same discipline as the
         # database scan counters).
@@ -144,8 +135,7 @@ class ZltpEventLoopServer:
         if stats_port is not None:
             self.stats = StatsTcpServer(
                 self.stats_snapshot, host=host, port=stats_port,
-                traces=server.flight.export,
-                io_timeout=io_timeout if io_timeout is not None else 5.0)
+                traces=server.flight.export)
         self._thread = threading.Thread(target=self._react_loop, daemon=True,
                                         name="zltp-reactor")
         self._thread.start()
@@ -154,7 +144,7 @@ class ZltpEventLoopServer:
             "modes": list(server.modes)})
 
     # ------------------------------------------------------------------
-    # Shared serving interface
+    # Serving interface
     # ------------------------------------------------------------------
 
     @property
@@ -165,14 +155,12 @@ class ZltpEventLoopServer:
     @property
     def worker_count(self) -> int:
         """Service threads — always exactly one reactor, regardless of
-        session count (the number the E12 bench contrasts with
-        thread-per-connection)."""
+        session count (the number the E12 bench gates on)."""
         return 1 if self._thread.is_alive() else 0
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """JSON-ready serving counters plus the merged metrics snapshot
-        (process registry + scan-pool workers, as in the threaded
-        server)."""
+        (process registry + scan-pool workers)."""
         return {
             "sessions_opened": self.server.sessions_opened,
             "gets_served": self.server.gets_served,
@@ -217,7 +205,9 @@ class ZltpEventLoopServer:
         last_sweep = time.monotonic()
         try:
             while not self._stopping.is_set():
-                for key, mask in self._selector.select(timeout=self._tick):
+                # Never sleep while answers are owed.
+                timeout = 0 if self._backlog else self._tick
+                for key, mask in self._selector.select(timeout=timeout):
                     if key.data == "accept":
                         self._react_accept()
                     elif key.data == "wake":
@@ -232,6 +222,7 @@ class ZltpEventLoopServer:
                         if mask & selectors.EVENT_READ and \
                                 conn.sock.fileno() != -1:
                             self._react_read(conn)
+                self._react_serve()
                 now = time.monotonic()
                 if self.idle_timeout is not None and \
                         now - last_sweep >= min(self._tick, self.idle_timeout / 2):
@@ -255,15 +246,17 @@ class ZltpEventLoopServer:
             sock.setblocking(False)
             conn = _Connection(sock, self.server.create_session(),
                                time.monotonic())
-            self._conns[sock.fileno()] = conn
+            self._conns[conn.fd] = conn
             self.sessions_accepted += 1
-            record_active_sessions(self.kind, len(self._conns))
+            record_active_sessions(+1)
             try:
                 self._selector.register(sock, selectors.EVENT_READ, data=conn)
             except (ValueError, KeyError, OSError):
                 self._react_teardown(conn)
 
     def _react_read(self, conn: _Connection) -> None:
+        """Decode what the socket holds into the session; a connection
+        that received frames joins the backlog."""
         try:
             chunk = conn.sock.recv(_RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
@@ -285,19 +278,46 @@ class ZltpEventLoopServer:
             return
         if not frames:
             return
+        self._react_call(conn, conn.session.receive, frames)
+        if not conn.closing:
+            self._backlog.setdefault(conn.fd, conn)
+
+    def _react_serve(self) -> None:
+        """Admit every GET read so far, then answer every backlogged
+        connection owed only fast replies and at most one owed a scan."""
+        if self.server.admission is not None:
+            for conn in list(self._backlog.values()):
+                self._react_call(conn, conn.session.admit)
+        scanned = False
+        for fd, conn in list(self._backlog.items()):
+            if conn.session.scan_pending:
+                if scanned:
+                    continue
+                scanned = True
+            del self._backlog[fd]
+            replies = self._react_call(conn, conn.session.handle_frames)
+            if replies is None:
+                continue
+            for reply in replies:
+                conn.outbuf += encode_frame(reply)
+            if conn.session.closed:
+                conn.closing = True
+            self._react_flush(conn)
+
+    def _react_call(self, conn: _Connection, step, *args: Any) -> Any:
+        """Run one session step; None if the connection is closing.
+
+        A handler bug must not kill the reactor: tell this client, tear
+        this session down, keep serving the rest.
+        """
+        if conn.closing:
+            return None
         try:
-            replies = conn.session.handle_frames(frames)
+            return step(*args)
         except Exception as exc:
-            # A handler bug must not kill the reactor: tell this client,
-            # tear this session down, keep serving the rest.
             _log.exception("connection handler failed")
             self._react_send_error(conn, "internal", str(exc))
-            return
-        for reply in replies:
-            conn.outbuf += encode_frame(reply)
-        if conn.session.closed:
-            conn.closing = True
-        self._react_flush(conn)
+            return None
 
     def _react_send_error(self, conn: _Connection, code: str,
                           detail: str) -> None:
@@ -310,8 +330,8 @@ class ZltpEventLoopServer:
     def _react_note_truncated(self, conn: _Connection) -> None:
         """A peer closed with a partial frame buffered — surface it.
 
-        Mirrors the threaded server: count it, log it, and (for a peer
-        that only shut down its write side) report it back best-effort.
+        Count it, log it, and (for a peer that only shut down its write
+        side) report it back best-effort.
         """
         pending = conn.decoder.pending_bytes
         self.truncated_frames += 1
@@ -376,17 +396,13 @@ class ZltpEventLoopServer:
             self._react_teardown(conn)
 
     def _react_teardown(self, conn: _Connection) -> None:
-        """Close one connection and balance every piece of accounting."""
+        """Close one connection and balance every piece of accounting
+        (idempotent)."""
         conn.session.close()
-        fd = conn.sock.fileno()
-        if fd >= 0:
-            self._conns.pop(fd, None)
-        else:
-            # The fd is already invalid; fall back to a value scan.
-            for known_fd, known in list(self._conns.items()):
-                if known is conn:
-                    self._conns.pop(known_fd, None)
-                    break
+        if self._conns.get(conn.fd) is conn:
+            del self._conns[conn.fd]
+            self._backlog.pop(conn.fd, None)
+            record_active_sessions(-1)
         try:
             self._selector.unregister(conn.sock)
         except (ValueError, KeyError, OSError):
@@ -395,7 +411,6 @@ class ZltpEventLoopServer:
             conn.sock.close()
         except OSError:
             pass
-        record_active_sessions(self.kind, len(self._conns))
 
     def _react_shutdown(self) -> None:
         """Reactor exit path: tear everything down before the thread dies."""

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Any, Dict, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from repro.core.backend import (
     RequestStats,
     ServerContext,
     negotiate,
-    timed_answer,
     timed_answer_batch,
 )
 from repro.core.zltp import messages as msg
@@ -80,8 +80,8 @@ class ZltpServer:
             :class:`~repro.core.zltp.admission.AdmissionController`; when
             attached, GETs that would blow their deadline are shed with a
             fast ``ErrorMessage("overload")`` instead of queued behind a
-            doomed scan. One gate covers every serving kind, because the
-            check sits in the shared session state machine.
+            doomed scan. Every transport reaches it through
+            :meth:`ZltpServerSession.admit`.
     """
 
     def __init__(
@@ -114,9 +114,9 @@ class ZltpServer:
         self._rng = rng
         self._options: Dict[str, Any] = dict(options or {})
         self._mode_servers: Dict[str, Any] = {}
-        # One logical server is shared by every connection thread of a
-        # ZltpTcpServer, so the stats counters are read-modify-written
-        # concurrently and need their own lock.
+        # One logical server is shared by every listener over it (replica
+        # reactors run on their own threads) and read by the stats
+        # sidecar, so the counters need their own lock.
         self._stats_lock = threading.Lock()
         self.sessions_opened = 0  # guarded-by: _stats_lock
         self.sessions_closed = 0  # guarded-by: _stats_lock
@@ -127,8 +127,8 @@ class ZltpServer:
         """Sessions opened and not yet torn down.
 
         Transports must balance every :meth:`create_session` with a
-        :meth:`ZltpServerSession.close` (the TCP servers do it in their
-        connection-teardown paths), so this gauge reconciles to zero on
+        :meth:`ZltpServerSession.close` (the reactor does it in its
+        connection-teardown path), so this gauge reconciles to zero on
         a drained server.
         """
         with self._stats_lock:
@@ -288,8 +288,39 @@ class ZltpServer:
         return session
 
 
+class _GetRun:
+    """Consecutive pipelined GetRequests, answered by one batched scan.
+
+    ``holder`` is the gate that admitted the run (released exactly once)
+    and ``shed`` the public overload detail when the gate refused it. A
+    run with neither has not been ruled on, and may still grow.
+    """
+
+    __slots__ = ("gets", "holder", "shed")
+
+    def __init__(self) -> None:
+        self.gets: List[msg.GetRequest] = []
+        self.holder: Optional[Any] = None
+        self.shed: Optional[str] = None
+
+    @property
+    def open(self) -> bool:
+        return self.holder is None and self.shed is None
+
+
+class _BadFrame(str):
+    """The decode error of a frame that ends the session."""
+
+
 class ZltpServerSession:
     """Per-connection protocol state machine.
+
+    Work goes through three steps: :meth:`receive` decodes frames into
+    an inbox, :meth:`admit` puts its GET runs to the admission gate, and
+    :meth:`handle_frames` answers it. The reactor receives and admits
+    across all its connections before it answers any (DESIGN.md,
+    "Arrival-time admission"); in-memory transports run all three per
+    frame.
 
     Attributes:
         stats: this session's own :class:`RequestStats` — the same deltas
@@ -301,6 +332,8 @@ class ZltpServerSession:
         self._state = _State.AWAIT_HELLO
         self._mode_name: Optional[str] = None
         self._mode = None
+        #: Decoded, not yet answered: messages, runs, a final bad frame.
+        self._inbox: Deque[Any] = deque()
         self.stats = RequestStats()
 
     @property
@@ -322,59 +355,116 @@ class ZltpServerSession:
         peer that vanishes mid-session — early EOF, a reset, a handler
         crash — still balances the server's session accounting; a
         session that already closed itself through the state machine is
-        left as-is.
+        left as-is. Admitted GETs that were never answered are released.
         """
         self._mark_closed()
+        while self._inbox:
+            self._release(self._inbox.popleft())
 
     @property
     def mode(self) -> Optional[str]:
         """The negotiated mode name, once the hello exchange completed."""
         return self._mode_name
 
-    def handle_frame(self, frame: bytes) -> List[bytes]:
-        """Decode one frame, advance the state machine, encode the replies."""
-        if self._state is _State.CLOSED:
-            return []
-        try:
-            message = msg.decode_message(frame)
-        except ProtocolError as exc:
-            self._mark_closed()
-            return [msg.encode_message(msg.ErrorMessage("bad-message", str(exc)))]
-        return [msg.encode_message(reply) for reply in self.handle(message)]
+    def receive(self, frames: Sequence[bytes]) -> None:
+        """Decode a burst of frames into the inbox without answering it.
 
-    def handle_frames(self, frames: List[bytes]) -> List[bytes]:
-        """Handle a burst of frames, batching pipelined GETs into one scan.
-
-        Transports that read several frames at once (a pipelining TCP
-        client) pass them here: runs of consecutive GetRequests in the
-        ready state are answered with one ``answer_batch`` call, so the
-        mode's single-pass batch scan path serves them in one walk over
-        the database (§5.1). Any other message flushes the pending run and
-        goes through the normal one-message state machine.
+        Consecutive GetRequests join one run, so a pipelining client's
+        GETs reach the mode's single-pass batched scan (§5.1). A frame
+        that fails to decode ends the burst: the session will answer it
+        with a ``bad-message`` error and close.
         """
-        replies: List[bytes] = []
-        pending: List[msg.GetRequest] = []
         for frame in frames:
-            if self._state is _State.CLOSED:
-                break
+            if self._ended():
+                return
             try:
                 message = msg.decode_message(frame)
             except ProtocolError as exc:
-                replies.extend(self._flush_gets(pending))
-                self._mark_closed()
-                replies.append(
-                    msg.encode_message(msg.ErrorMessage("bad-message", str(exc)))
-                )
-                return replies
-            if isinstance(message, msg.GetRequest) and self._state is _State.READY:
-                pending.append(message)
-                continue
-            replies.extend(self._flush_gets(pending))
+                self._inbox.append(_BadFrame(str(exc)))
+                return
+            self._enqueue(message)
+
+    def _ended(self) -> bool:
+        """Whether nothing received from now on can be answered."""
+        if self._state is _State.CLOSED:
+            return True
+        return bool(self._inbox) and \
+            isinstance(self._inbox[-1], (msg.Bye, _BadFrame))
+
+    def _enqueue(self, message: Any) -> None:
+        if not isinstance(message, msg.GetRequest):
+            self._inbox.append(message)
+            return
+        run = self._inbox[-1] if self._inbox else None
+        if not isinstance(run, _GetRun) or not run.open:
+            run = _GetRun()
+            self._inbox.append(run)
+        run.gets.append(message)
+
+    def admit(self) -> None:
+        """Ask the admission gate about every queued GET run, in order.
+
+        A no-op without a gate. A shed run stays queued and is answered
+        with one ``overload`` error per request.
+        """
+        gate = self._server.admission
+        if gate is None:
+            return
+        for run in self._inbox:
+            if isinstance(run, _GetRun) and run.open:
+                run.shed = gate.try_admit(len(run.gets))
+                if run.shed is None:
+                    run.holder = gate
+
+    @property
+    def scan_pending(self) -> bool:
+        """Whether answering the inbox would scan (a GET run not shed)."""
+        return any(isinstance(item, _GetRun) and item.shed is None
+                   for item in self._inbox)
+
+    def handle_frames(self, frames: Sequence[bytes] = ()) -> List[bytes]:
+        """Receive ``frames``, then admit and answer everything queued.
+
+        Runs of consecutive GetRequests in the ready state are answered
+        with one ``answer_batch`` call; any other message goes through
+        the one-message state machine in order.
+        """
+        self.receive(frames)
+        return [msg.encode_message(reply) for reply in self._respond()]
+
+    def handle_frame(self, frame: bytes) -> List[bytes]:
+        """Decode one frame, advance the state machine, encode the replies."""
+        return self.handle_frames([frame])
+
+    def handle(self, message) -> List[Any]:
+        """Advance the state machine by one message; return reply messages."""
+        if not self._ended():
+            self._enqueue(message)
+        return self._respond()
+
+    def _respond(self) -> List[Any]:
+        """Admit, then answer, the inbox in order."""
+        self.admit()
+        replies: List[Any] = []
+        while self._inbox:
+            item = self._inbox.popleft()
             if self._state is _State.CLOSED:
-                break
-            replies.extend(msg.encode_message(reply) for reply in self.handle(message))
-        replies.extend(self._flush_gets(pending))
+                self._release(item)
+            elif isinstance(item, _GetRun):
+                replies.extend(self._answer_run(item))
+            elif isinstance(item, _BadFrame):
+                self._mark_closed()
+                replies.append(msg.ErrorMessage("bad-message", str(item)))
+            else:
+                replies.extend(self._step(item))
         return replies
+
+    @staticmethod
+    def _release(item: Any, service_seconds: Optional[float] = None) -> None:
+        """Balance the admission of a run, exactly once."""
+        if isinstance(item, _GetRun) and item.holder is not None:
+            gate, item.holder = item.holder, None
+            gate.release(len(item.gets), service_seconds=service_seconds)
 
     def _account(self, delta: RequestStats) -> None:
         """Fold an answer-call delta into the session and server stats."""
@@ -382,58 +472,48 @@ class ZltpServerSession:
         if self._mode_name is not None:
             self._server.record_stats(self._mode_name, delta)
 
-    def _flush_gets(self, pending: List[msg.GetRequest]) -> List[bytes]:
-        """Answer a run of pipelined GetRequests in one batched scan."""
-        if not pending:
-            return []
-        batch, pending[:] = list(pending), []
-        gate = self._server.admission
-        if gate is not None:
-            detail = gate.try_admit(len(batch))
-            if detail is not None:
-                # Shed the whole run: one error per request preserves the
-                # 1:1 request/reply pairing, and the session stays READY —
-                # overload is the *server's* state, not a client fault.
-                shed = msg.encode_message(msg.ErrorMessage("overload", detail))
-                return [shed] * len(batch)
+    def _answer_run(self, run: _GetRun) -> List[Any]:
+        """Answer one run of pipelined GetRequests in one batched scan."""
+        if self._state is not _State.READY:
+            # A GET before the hello: the state machine rejects it.
+            self._release(run)
+            return self._step(run.gets[0])
+        if run.shed is not None:
+            # Shed the whole run: one error per request preserves the 1:1
+            # request/reply pairing, and the session stays READY —
+            # overload is the *server's* state, not a client fault.
+            return [msg.ErrorMessage("overload", run.shed)] * len(run.gets)
+        service_seconds = None
         delta = RequestStats()
         try:
             with self._server.flight.capture():
-                with span("zltp.session.get_batch", mode=self._mode_name,
-                          batch=len(batch)) as sp:
+                with span("zltp.session.get", mode=self._mode_name,
+                          batch=len(run.gets)) as sp:
                     answers = timed_answer_batch(
-                        self._mode, [g.payload for g in batch], delta
-                    )
+                        self._mode, [g.payload for g in run.gets], delta)
                     sp.annotate(queries=delta.queries,
                                 bytes_up=delta.bytes_up,
                                 bytes_down=delta.bytes_down)
+            service_seconds = sp.elapsed
         except ReproError as exc:
-            if gate is not None:
-                gate.release(len(batch))
+            # Mode-level failures (bad DPF key, malformed LWE query, broken
+            # seal) are the client's fault; report and tear down.
             self._mark_closed()
-            return [msg.encode_message(msg.ErrorMessage("protocol", str(exc)))]
-        if gate is not None:
-            gate.release(len(batch), service_seconds=sp.elapsed)
+            return [msg.ErrorMessage("protocol", str(exc))]
+        finally:
+            self._release(run, service_seconds)
         self._account(delta)
-        return [
-            msg.encode_message(
-                msg.GetResponse(request_id=request.request_id, payload=answer)
-            )
-            for request, answer in zip(batch, answers)
-        ]
+        return [msg.GetResponse(request_id=request.request_id, payload=answer)
+                for request, answer in zip(run.gets, answers)]
 
-    def handle(self, message) -> List[Any]:
-        """Advance the state machine by one message; return reply messages."""
-        if self._state is _State.CLOSED:
-            return []
+    def _step(self, message) -> List[Any]:
+        """Advance the state machine by one non-GET message."""
         try:
             return self._dispatch(message)
         except NegotiationError as exc:
             self._mark_closed()
             return [msg.ErrorMessage("negotiation", str(exc))]
         except ReproError as exc:
-            # Mode-level failures (bad DPF key, malformed LWE query, broken
-            # seal) are the client's fault; report and tear down.
             self._mark_closed()
             return [msg.ErrorMessage("protocol", str(exc))]
 
@@ -450,31 +530,6 @@ class ZltpServerSession:
         # READY state.
         if isinstance(message, msg.SetupRequest):
             return [msg.SetupResponse(params=self._mode.setup())]
-        if isinstance(message, msg.GetRequest):
-            gate = self._server.admission
-            if gate is not None:
-                detail = gate.try_admit(1)
-                if detail is not None:
-                    # Shed without closing: the session stays READY so the
-                    # client can retry or move to a less-loaded endpoint.
-                    return [msg.ErrorMessage("overload", detail)]
-            delta = RequestStats()
-            try:
-                with self._server.flight.capture():
-                    with span("zltp.session.get", mode=self._mode_name) as sp:
-                        answer = timed_answer(self._mode, message.payload,
-                                              delta)
-                        sp.annotate(queries=delta.queries,
-                                    bytes_up=delta.bytes_up,
-                                    bytes_down=delta.bytes_down)
-            except ReproError:
-                if gate is not None:
-                    gate.release(1)
-                raise
-            if gate is not None:
-                gate.release(1, service_seconds=sp.elapsed)
-            self._account(delta)
-            return [msg.GetResponse(request_id=message.request_id, payload=answer)]
         raise ProtocolError(f"unexpected {type(message).__name__} in ready state")
 
     def _do_hello(self, hello: msg.ClientHello) -> msg.ServerHello:

@@ -1,94 +1,33 @@
-"""Registry of TCP serving flavours behind one shared interface.
+"""A short constructor for the one TCP session core.
 
-Two ways to put a :class:`~repro.core.zltp.server.ZltpServer` on a
-socket ship in-tree: the event-loop reactor
-(:class:`~repro.core.zltp.eventloop.ZltpEventLoopServer`, the default
-session core) and the original thread-per-connection
-:class:`~repro.core.zltp.sockets.ZltpTcpServer` (kept as the simple,
-debuggable fallback). Both satisfy the same serving interface:
-
-- constructor ``(server, host=..., port=..., stats_port=...)``,
-- ``address`` / ``server`` / ``stats`` attributes,
-- ``stats_snapshot()``, ``active_connections``, ``worker_count``,
-- deterministic, idempotent ``stop(timeout)``.
-
-Deployments pick a flavour by name (``lightweb serve --server-kind``),
-benchmarks iterate :func:`server_kinds` to compare them on identical
-workloads, and the integration suite runs both through the same tests —
-the registry is what makes "swap the concurrency architecture" a
-one-string decision instead of a code change, the same move
-:mod:`repro.core.backend` made for PIR modes.
+:class:`~repro.core.zltp.eventloop.ZltpEventLoopServer` is how a
+:class:`~repro.core.zltp.server.ZltpServer` goes on a socket; code in this
+package builds it directly. :func:`create_tcp_server` stays for callers
+that pass the core as a leading argument.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Optional
 
 from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer
 from repro.errors import ReproError
 
-#: The session core new deployments get unless they ask otherwise.
-DEFAULT_SERVER_KIND = "eventloop"
 
-_registry_lock = threading.Lock()
-_SERVER_KINDS: Dict[str, Callable[..., Any]] = {}  # guarded-by: _registry_lock
-
-
-def register_server_kind(name: str, factory: Callable[..., Any]) -> None:
-    """Register a serving flavour under a selectable name.
-
-    ``factory`` must accept the shared constructor signature
-    ``(server, host=..., port=..., stats_port=..., **kwargs)`` and return
-    an object satisfying the shared serving interface.
-    """
-    with _registry_lock:
-        _SERVER_KINDS[name] = factory
-
-
-def server_kinds() -> List[str]:
-    """Registered flavour names, default first."""
-    with _registry_lock:
-        names = list(_SERVER_KINDS)
-    names.sort(key=lambda name: (name != DEFAULT_SERVER_KIND, name))
-    return names
-
-
-def create_tcp_server(kind: Optional[str], server: ZltpServer,
-                      host: str = "127.0.0.1", port: int = 0,
-                      stats_port: Optional[int] = None, **kwargs: Any):
-    """Build a TCP listener of the chosen flavour over a logical server.
-
-    Args:
-        kind: a registered flavour name, or None for the default.
-        server: the logical ZLTP server to expose.
-        host / port / stats_port: as on both server constructors.
-        kwargs: flavour-specific extras (e.g. ``idle_timeout`` for the
-            event loop), passed through verbatim.
+def create_tcp_server(core: Optional[str], server: ZltpServer,
+                      **kwargs: Any) -> ZltpEventLoopServer:
+    """``ZltpEventLoopServer(server, **kwargs)``; ``core`` must be None.
 
     Raises:
-        ReproError: on an unregistered kind name.
+        ReproError: when ``core`` names anything, since the reactor is
+            the only session core.
     """
-    chosen = kind if kind is not None else DEFAULT_SERVER_KIND
-    with _registry_lock:
-        factory = _SERVER_KINDS.get(chosen)
-    if factory is None:
-        known = ", ".join(sorted(_SERVER_KINDS))
+    if core is not None:
         raise ReproError(
-            f"unknown server kind {chosen!r} (registered: {known})")
-    return factory(server, host=host, port=port, stats_port=stats_port,
-                   **kwargs)
+            f"unknown session core {core!r}: the event-loop reactor is "
+            "the only one")
+    return ZltpEventLoopServer(server, **kwargs)
 
 
-register_server_kind("threaded", ZltpTcpServer)
-register_server_kind("eventloop", ZltpEventLoopServer)
-
-
-__all__ = [
-    "DEFAULT_SERVER_KIND",
-    "create_tcp_server",
-    "register_server_kind",
-    "server_kinds",
-]
+__all__ = ["create_tcp_server"]

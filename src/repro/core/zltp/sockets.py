@@ -2,11 +2,10 @@
 
 The in-memory transports are what most tests use, but ZLTP is an
 application-layer network protocol and should run over real sockets too.
-:class:`ZltpTcpServer` serves a :class:`~repro.core.zltp.server.ZltpServer`
-on a listening socket (one thread per connection — plenty for a prototype
-whose per-request cost is a linear database scan), and :func:`connect_tcp`
-returns a blocking :class:`TcpTransport` usable directly by
-:class:`~repro.core.zltp.client.ZltpClient`.
+The server side is :class:`~repro.core.zltp.eventloop.ZltpEventLoopServer`;
+this module holds the client side — :func:`connect_tcp` returns a
+blocking :class:`TcpTransport` usable directly by
+:class:`~repro.core.zltp.client.ZltpClient` — and the stats sidecar.
 
 :class:`StatsTcpServer` is the observability sidecar: a deliberately tiny
 HTTP/1.0 responder (the ZLTP wire itself carries only fixed-size frames,
@@ -23,16 +22,10 @@ import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.resilience import ReconnectingTransport, RetryPolicy, resilient
-from repro.core.zltp import messages as msg
-from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.wire import FrameDecoder, encode_frame
 from repro.errors import TransportError
 from repro.obs.logs import get_logger
-from repro.obs.metrics import (
-    REGISTRY,
-    record_truncated_frame,
-    render_snapshot_text,
-)
+from repro.obs.metrics import REGISTRY, render_snapshot_text
 
 _RECV_CHUNK = 65536
 
@@ -147,11 +140,12 @@ class StatsTcpServer:
     given); every other path returns the Prometheus-style text
     exposition. The payload comes from a caller-supplied zero-argument
     ``snapshot`` callable, so the same sidecar fronts a single
-    :class:`ZltpServer` or a whole deployment aggregate.
+    :class:`~repro.core.zltp.server.ZltpServer` or a whole deployment
+    aggregate.
 
     Hand-rolled on purpose: no routing, no keep-alive, no request body —
-    just enough HTTP for ``curl`` and ``lightweb stats``, with the same
-    deterministic :meth:`stop` discipline as :class:`ZltpTcpServer`.
+    just enough HTTP for ``curl`` and ``lightweb stats``, with a
+    deterministic, idempotent :meth:`stop`.
     """
 
     def __init__(self, snapshot: Callable[[], Dict[str, Any]],
@@ -287,234 +281,6 @@ class StatsTcpServer:
         self._thread.join(timeout)
 
 
-class ZltpTcpServer:
-    """Serve a logical ZLTP server on a TCP listening socket.
-
-    Connection threads are tracked and pruned as they finish (no unbounded
-    ``_threads`` growth), live sockets are registered so :meth:`stop` can
-    shut every open connection down and join every worker deterministically.
-    Frames that arrive together in one TCP chunk are handed to the session
-    as a batch, so a pipelining client's GETs reach the mode's single-pass
-    batched scan.
-    """
-
-    def __init__(self, server: ZltpServer, host: str = "127.0.0.1", port: int = 0,
-                 stats_port: Optional[int] = None,
-                 io_timeout: Optional[float] = None):
-        """Bind and start accepting in a background thread.
-
-        Args:
-            server: the logical server to expose.
-            host: bind address.
-            port: bind port; 0 picks a free ephemeral port.
-            stats_port: also serve this server's stats snapshot over HTTP
-                on this port (0 picks a free one); None disables the
-                sidecar.
-            io_timeout: per-connection recv timeout for accepted ZLTP
-                connections, also threaded through to the stats sidecar.
-                None (the default) blocks forever — a parked client costs
-                a thread but is never killed by an arbitrary constant;
-                deployments that want reaping configure it explicitly
-                (the threaded twin of the eventloop's ``idle_timeout``).
-        """
-        self.server = server
-        self._io_timeout = io_timeout
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(16)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self._threads: list = []  # guarded-by: _lock
-        self._conns: set = set()  # guarded-by: _lock
-        self.truncated_frames = 0  # guarded-by: _lock
-        self.stats: Optional[StatsTcpServer] = None
-        if stats_port is not None:
-            self.stats = StatsTcpServer(
-                self.stats_snapshot, host=host, port=stats_port,
-                traces=server.flight.export,
-                io_timeout=io_timeout if io_timeout is not None else 5.0)
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-        _log.info("zltp endpoint listening", extra={
-            "host": self.address[0], "port": self.address[1],
-            "modes": list(server.modes)})
-
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """JSON-ready serving counters plus the merged metrics snapshot.
-
-        The ``metrics`` key is :meth:`ZltpServer.metrics_snapshot` — the
-        process registry folded together with the scan pool workers'
-        registries, in the mergeable cross-process format — so a scrape
-        of this endpoint sees every core's work, not just the parent's.
-        """
-        return {
-            "sessions_opened": self.server.sessions_opened,
-            "gets_served": self.server.gets_served,
-            "modes": {
-                mode: stats.as_dict()
-                for mode, stats in sorted(self.server.stats_by_mode().items())
-            },
-            "metrics": self.server.metrics_snapshot(),
-        }
-
-    @property
-    def worker_count(self) -> int:
-        """Live connection-handler threads (finished ones are pruned)."""
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            return len(self._threads)
-
-    @property
-    def active_connections(self) -> int:
-        """Currently open client connections."""
-        with self._lock:
-            return len(self._conns)
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            if self._stopping.is_set():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            with self._lock:
-                self._threads = [t for t in self._threads if t.is_alive()]
-                self._threads.append(thread)
-                self._conns.add(conn)
-            thread.start()
-
-    def _note_truncated_frame(self, conn: socket.socket,
-                              pending_bytes: int) -> None:
-        """Surface a partial frame left behind by a dying connection.
-
-        Bytes sitting in a connection's decoder when the peer vanishes
-        used to be dropped on the floor; a truncated frame is a protocol
-        event worth counting and (best-effort, for a peer that only
-        half-closed its write side) reporting back.
-        """
-        with self._lock:
-            self.truncated_frames += 1
-        record_truncated_frame()
-        _log.warning("connection closed mid-frame", extra={
-            "pending_bytes": pending_bytes})
-        error = msg.ErrorMessage(
-            "truncated-frame",
-            f"connection closed with {pending_bytes} bytes of a partial frame",
-        )
-        try:
-            conn.sendall(encode_frame(msg.encode_message(error)))
-        except OSError:
-            pass
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        session = self.server.create_session()
-        decoder = FrameDecoder()
-        if self._io_timeout is not None:
-            conn.settimeout(self._io_timeout)
-        try:
-            while not session.closed and not self._stopping.is_set():
-                try:
-                    chunk = conn.recv(_RECV_CHUNK)
-                except socket.timeout:
-                    # The configured io timeout expired with no frame:
-                    # reap like the eventloop's idle sweep, telling the
-                    # peer why (best-effort).
-                    error = msg.ErrorMessage(
-                        "idle-timeout",
-                        f"no frame within {self._io_timeout:g}s",
-                    )
-                    try:
-                        conn.sendall(encode_frame(msg.encode_message(error)))
-                    except OSError:
-                        pass
-                    return
-                if not chunk:
-                    # Peer closed. Bytes still buffered in the decoder mean
-                    # the stream died mid-frame — surface it, don't drop it.
-                    if decoder.pending_bytes:
-                        self._note_truncated_frame(conn, decoder.pending_bytes)
-                    return
-                frames = decoder.feed(chunk)
-                if not frames:
-                    continue
-                for reply in session.handle_frames(frames):
-                    conn.sendall(encode_frame(reply))
-        except OSError:
-            return
-        except Exception as exc:
-            # A handler bug must not kill the connection silently: tell
-            # the client why its session died, then tear it down.
-            _log.exception("connection handler failed")
-            error = msg.ErrorMessage("internal", str(exc))
-            try:
-                conn.sendall(encode_frame(msg.encode_message(error)))
-            except OSError:
-                pass
-            return
-        finally:
-            # Every exit path — peer close, OSError, handler crash, clean
-            # Bye — tears the server-side session down so the logical
-            # server's session accounting balances.
-            session.close()
-            with self._lock:
-                self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Shut down deterministically: listener, live connections, workers.
-
-        Stops accepting, shuts every open connection (unblocking any worker
-        parked in ``recv``), then joins the accept thread and every worker.
-        Safe to call more than once.
-        """
-        self._stopping.set()
-        if self.stats is not None:
-            self.stats.stop(timeout)
-        # shutdown() (not just close()) wakes a thread blocked in accept().
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            conns = list(self._conns)
-            threads = list(self._threads)
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self._accept_thread.join(timeout)
-        for thread in threads:
-            thread.join(timeout)
-        with self._lock:
-            for conn in list(self._conns):
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                self._conns.discard(conn)
-            self._threads = [t for t in self._threads if t.is_alive()]
-        _log.info("zltp endpoint stopped", extra={
-            "host": self.address[0], "port": self.address[1]})
-
-
 def connect_tcp(host: str, port: int, timeout: Optional[float] = 10.0,
                 io_timeout: Optional[float] = None) -> TcpTransport:
     """Open a TCP connection to a ZLTP server and wrap it as a transport.
@@ -564,5 +330,5 @@ def connect_tcp_resilient(candidates: List[Tuple[str, int]],
                      op_deadline_seconds=op_deadline_seconds, name=name)
 
 
-__all__ = ["TcpTransport", "ZltpTcpServer", "StatsTcpServer", "connect_tcp",
+__all__ = ["TcpTransport", "StatsTcpServer", "connect_tcp",
            "connect_tcp_resilient"]

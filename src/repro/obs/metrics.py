@@ -670,18 +670,19 @@ def record_admission_queue_depth(depth: int,
     ).set(depth)
 
 
-def record_active_sessions(server_kind: str, active: int,
+def record_active_sessions(delta: int,
                            registry: Optional[MetricsRegistry] = None) -> None:
-    """Gauge the live ZLTP session count for one server flavour.
+    """Move the live ZLTP session gauge by ``delta`` (+1 on accept, -1
+    on teardown).
 
-    ``server_kind`` is a fixed structural label (``"threaded"``,
-    ``"eventloop"``); the count is aggregate concurrency, never anything
-    per-session.
+    Every listener adds its own changes, so the gauge reads the process
+    total however many listeners share the registry. The count is
+    aggregate concurrency, never anything per-session.
     """
     reg = registry if registry is not None else REGISTRY
     reg.gauge(
-        "zltp_active_sessions", "Live ZLTP sessions, by server kind",
-    ).set(active, server=server_kind)
+        "zltp_active_sessions", "Live ZLTP sessions in this process",
+    ).add(delta)
 
 
 __all__ = [

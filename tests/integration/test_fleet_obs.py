@@ -23,7 +23,8 @@ from repro.core.discovery import (
 )
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
+from repro.core.zltp.eventloop import ZltpEventLoopServer
+from repro.core.zltp.sockets import connect_tcp
 from repro.obs.fleet import scrape_server, targets_from_records
 from repro.obs.metrics import snapshot_total
 from repro.pir.database import BlobDatabase
@@ -47,7 +48,7 @@ def fleet():
         pools.append(pool)
         server = ZltpServer(db, modes=["pir2"], party=party,
                             executor=pool, options={"prefix_bits": 1})
-        listeners.append(ZltpTcpServer(server, stats_port=0))
+        listeners.append(ZltpEventLoopServer(server, stats_port=0))
 
     transports = [connect_tcp(*lis.address) for lis in listeners]
     client = connect_client(transports, supported_modes=["pir2"],

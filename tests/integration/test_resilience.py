@@ -24,14 +24,13 @@ import pytest
 
 from repro.core.resilience import ReconnectingTransport, RetryPolicy
 from repro.core.zltp.client import connect_client
+from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.server import ZltpServer
 from repro.core.zltp.sockets import (
     StatsTcpServer,
-    ZltpTcpServer,
     connect_tcp,
     connect_tcp_resilient,
 )
-from repro.core.zltp.serving import create_tcp_server
 from repro.core.zltp.transport import transport_pair
 from repro.crypto.dpf import gen_dpf
 from repro.errors import DeadlineError
@@ -226,7 +225,7 @@ class TestTcpKillAndReconnect:
     def test_session_killed_mid_pipelined_batch_completes(self):
         db = build_db()
         servers = party_servers(db)
-        listeners = [ZltpTcpServer(server) for server in servers]
+        listeners = [ZltpEventLoopServer(server) for server in servers]
         schedule = FaultSchedule.script(("recv", 3, "close"))
 
         def dial_faulty():
@@ -331,15 +330,11 @@ class TestEndpointFailoverAcceptance:
     with the retries visible in ``/metrics.json``.
     """
 
-    @pytest.mark.parametrize("server_kind", ["threaded", "eventloop"])
-    def test_killed_endpoint_fails_over_with_identical_records(
-            self, server_kind):
+    def test_killed_endpoint_fails_over_with_identical_records(self):
         db = build_db()
         logical = party_servers(db)
-        primaries = [create_tcp_server(server_kind, server)
-                     for server in logical]
-        replicas = [create_tcp_server(server_kind, server)
-                    for server in logical]
+        primaries = [ZltpEventLoopServer(server) for server in logical]
+        replicas = [ZltpEventLoopServer(server) for server in logical]
         sidecar = StatsTcpServer(lambda: {"metrics": REGISTRY.as_dict()})
         policy_args = dict(max_attempts=6, base_delay=0.01, jitter=0.0)
         try:

@@ -7,13 +7,13 @@ from repro.core.lightweb.browser import LightwebBrowser
 from repro.core.lightweb.cdn import Cdn
 from repro.core.lightweb.publisher import Publisher
 from repro.core.zltp.modes import MODE_PIR2
-from repro.core.zltp.serving import create_tcp_server
-from repro.core.zltp.sockets import TcpTransport, ZltpTcpServer, connect_tcp
+from repro.core.zltp.eventloop import ZltpEventLoopServer
+from repro.core.zltp.sockets import connect_tcp
 from repro.core.zltp.transport import transport_pair
 
 
-@pytest.fixture(params=["threaded", "eventloop"])
-def tcp_world(request):
+@pytest.fixture
+def tcp_world():
     cdn = Cdn("tcp-cdn", modes=[MODE_PIR2])
     cdn.create_universe("u", data_domain_bits=10, code_domain_bits=7,
                         fetch_budget=2)
@@ -28,8 +28,7 @@ def tcp_world(request):
     for kind in ("code", "data"):
         for party in (0, 1):
             server = cdn._server("u", kind, party)
-            listeners[(kind, party)] = create_tcp_server(request.param,
-                                                         server)
+            listeners[(kind, party)] = ZltpEventLoopServer(server)
     yield cdn, listeners
     for listener in listeners.values():
         listener.stop()

@@ -1,13 +1,14 @@
 """One private GET, traced end to end through a live TCP deployment.
 
-Drives a real ``ZltpClient.get`` through two ``ZltpTcpServer`` listeners
-(one per pir2 party) whose pir2 mode servers run the §5.2 sharded stack
+Drives a real ``ZltpClient.get`` through two ``ZltpEventLoopServer``
+listeners (one per pir2 party) whose pir2 mode servers run the §5.2
+sharded stack
 (``prefix_bits=2`` → front-end + 4 data servers), and asserts the
 exported trace is the nested span tree the observability design promises:
 
     zltp.client.get                      (client side, main thread)
-    zltp.session.get[_batch]             (per party, connection thread)
-      backend.answer[_batch]
+    zltp.session.get                     (per party, reactor thread)
+      backend.answer
         pir2.key_split / pir2.gang_eval
         engine.map / engine.fanout       (scan-engine dispatch)
           pir2.shard_scan × 4            (worker threads, one per shard)
@@ -22,7 +23,8 @@ import pytest
 
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
+from repro.core.zltp.eventloop import ZltpEventLoopServer
+from repro.core.zltp.sockets import connect_tcp
 from repro.obs.trace import tracing
 from repro.pir.database import BlobDatabase
 from repro.pir.engine import ScanExecutor
@@ -59,7 +61,7 @@ def traced_world():
                    executor=executor, options={"prefix_bits": PREFIX_BITS})
         for party in (0, 1)
     ]
-    listeners = [ZltpTcpServer(server) for server in servers]
+    listeners = [ZltpEventLoopServer(server) for server in servers]
     yield servers, listeners, executor
     for listener in listeners:
         listener.stop()
@@ -86,18 +88,16 @@ class TestTraceEndToEnd:
         assert set(client_span["attrs"]) == {"mode", "probes"}
 
         # --- one session span per party, each a root of its own tree -----
-        session_spans = spans_named(
-            trees, {"zltp.session.get", "zltp.session.get_batch"})
+        session_spans = spans_named(trees, {"zltp.session.get"})
         assert len(session_spans) == 2
         for sess in session_spans:
-            assert sess in [t for t in trees]  # connection threads → roots
+            assert sess in [t for t in trees]  # reactor threads → roots
             assert sess["attrs"]["mode"] == "pir2"
             assert sess["attrs"]["queries"] == 1
 
             # --- backend dispatch under the session ----------------------
             backends = [c for c in sess["children"]
-                        if c["name"] in ("backend.answer",
-                                         "backend.answer_batch")]
+                        if c["name"] == "backend.answer"]
             assert len(backends) == 1
             backend = backends[0]
             assert backend["attrs"]["bytes_up"] == sess["attrs"]["bytes_up"]
@@ -131,8 +131,7 @@ class TestTraceEndToEnd:
             assert client.get("hello") == PAYLOAD
             client.close()
         trees = tracer.export()
-        session_spans = spans_named(
-            trees, {"zltp.session.get", "zltp.session.get_batch"})
+        session_spans = spans_named(trees, {"zltp.session.get"})
 
         # Each party's session span reports exactly what that party's
         # server accounted for the mode.

@@ -206,8 +206,8 @@ class TestSessionIntegration:
         client.close()
 
     def test_eventloop_batch_path_sheds_whole_run(self):
-        # The batched (handle_frames) path both serving kinds share:
-        # a shed run returns one overload error per pending GET.
+        # The session's one GET path (handle_frames): a shed run returns
+        # one overload error per pending GET.
         db = BlobDatabase(8, 64)
         gate = AdmissionController(deadline_seconds=10.0, max_queue_depth=1)
         server = ZltpServer(db, modes=[MODE_PIR2], party=0, salt=SALT,
@@ -227,6 +227,34 @@ class TestSessionIntegration:
                    for r in replies)
         assert not session.closed
         assert gate.shed == 2
+
+    def test_unanswered_admissions_are_released(self):
+        # The reactor admits a tick's GETs before answering any; a
+        # session torn down in between must hand its admissions back,
+        # and GETs behind a Bye are never admitted at all.
+        db = BlobDatabase(8, 64)
+        gate = AdmissionController(deadline_seconds=10.0)
+        server = ZltpServer(db, modes=[MODE_PIR2], party=0, salt=SALT,
+                            probes=2, admission=gate)
+        get = msg.GetRequest(request_id=1, payload=b"\x00" * 32)
+        session = server.create_session()
+        session.handle(msg.ClientHello(supported_modes=[MODE_PIR2]))
+        session.receive([msg.encode_message(get)] * 2)
+        session.admit()
+        assert gate.queue_depth == 2
+        session.close()
+        assert gate.queue_depth == 0
+        assert session.handle_frames() == []
+
+        session = server.create_session()
+        session.handle(msg.ClientHello(supported_modes=[MODE_PIR2]))
+        session.receive([msg.encode_message(msg.Bye()),
+                         msg.encode_message(get)])
+        session.admit()
+        assert gate.queue_depth == 0
+        assert session.handle_frames() == []
+        assert session.closed
+        assert gate.admitted == 2
 
     def test_load_snapshot_reaches_capability_announce(self):
         db = BlobDatabase(8, 64)

@@ -356,8 +356,8 @@ class TestLoadgenCommand:
     def test_sweep_against_live_deployment(self, tmp_path, capsys):
         import numpy as np
 
+        from repro.core.zltp.eventloop import ZltpEventLoopServer
         from repro.core.zltp.server import ZltpServer
-        from repro.core.zltp.serving import create_tcp_server
         from repro.pir.database import BlobDatabase
 
         listeners = []
@@ -368,7 +368,7 @@ class TestLoadgenCommand:
                 db.set_slot(slot, bytes(
                     rng.integers(0, 256, 32, dtype=np.uint8)))
             server = ZltpServer(db, modes=["pir2"], party=party)
-            listeners.append(create_tcp_server("threaded", server, port=0))
+            listeners.append(ZltpEventLoopServer(server))
         out = tmp_path / "sweep.json"
         try:
             code = main(["loadgen", "--data-ports",

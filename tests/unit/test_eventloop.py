@@ -1,24 +1,24 @@
-"""Tests for the selector-reactor session core and the serving registry."""
+"""Tests for the selector-reactor session core."""
 
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.zltp import messages as msg
+from repro.core.zltp.admission import AdmissionController
 from repro.core.zltp.client import connect_client
 from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.serving import (
-    DEFAULT_SERVER_KIND,
-    create_tcp_server,
-    server_kinds,
-)
-from repro.core.zltp.sockets import ZltpTcpServer, connect_tcp
+from repro.core.zltp.serving import create_tcp_server
+from repro.core.zltp.sockets import connect_tcp
 from repro.core.zltp.wire import encode_frame
+from repro.crypto.dpf import gen_dpf
 from repro.errors import ReproError, TransportError
+from repro.obs.metrics import REGISTRY
 from repro.pir.database import BlobDatabase
 from repro.pir.keyword import KeywordIndex
 
@@ -199,8 +199,12 @@ class TestEventLoopSessions:
         try:
             class BoomSession:
                 closed = False
+                scan_pending = False
 
-                def handle_frames(self, frames):
+                def receive(self, frames):
+                    pass
+
+                def handle_frames(self, frames=()):
                     raise RuntimeError("handler bug")
 
                 def close(self):
@@ -243,47 +247,129 @@ class TestEventLoopSessions:
         server.stop()  # idempotent
         sock.close()
 
-    def test_stats_snapshot_matches_threaded_shape(self):
-        logical = make_logical()
-        reactor = ZltpEventLoopServer(logical)
-        threaded = ZltpTcpServer(make_logical())
+    def test_session_gauge_sums_every_listener(self):
+        """Each listener moves the process-wide gauge by its own +1/-1,
+        so two listeners holding 2 + 1 sessions read 3, not 2."""
+        gauge = REGISTRY.gauge("zltp_active_sessions")
+        baseline = gauge.value()
+        listeners = [ZltpEventLoopServer(make_logical()) for _ in range(2)]
+        socks = []
         try:
-            assert (sorted(reactor.stats_snapshot())
-                    == sorted(threaded.stats_snapshot()))
+            for listener, count in zip(listeners, (2, 1)):
+                for _ in range(count):
+                    socks.append(socket.create_connection(listener.address,
+                                                          timeout=5))
+            assert wait_for(lambda: sum(l.active_connections
+                                        for l in listeners) == 3)
+            assert gauge.value() == baseline + 3
+            for sock in socks:
+                sock.close()
+            assert wait_for(lambda: gauge.value() == baseline)
         finally:
-            reactor.stop()
-            threaded.stop()
+            for sock in socks:
+                sock.close()
+            for listener in listeners:
+                listener.stop()
+        assert gauge.value() == baseline
 
 
-class TestServingRegistry:
-    def test_default_kind_is_eventloop_and_listed_first(self):
-        kinds = server_kinds()
-        assert DEFAULT_SERVER_KIND == "eventloop"
-        assert kinds[0] == "eventloop"
-        assert "threaded" in kinds
+class SlowFirstScanDatabase(BlobDatabase):
+    """A database whose first scan parks until the test releases it."""
 
-    def test_unknown_kind_raises_typed_error(self):
-        with pytest.raises(ReproError, match="unknown server kind"):
-            create_tcp_server("gopher", make_logical())
+    def __init__(self, domain_bits, blob_size):
+        super().__init__(domain_bits, blob_size)
+        self.scanning = threading.Event()
+        self.release = threading.Event()
+        self._first = True
 
-    @pytest.mark.parametrize("kind", ["threaded", "eventloop"])
-    def test_both_kinds_serve_the_same_protocol(self, kind):
-        servers = [
-            create_tcp_server(
-                kind,
-                ZltpServer(build_db(), modes=[MODE_PIR2], party=party,
-                           salt=SALT, probes=2))
-            for party in (0, 1)
-        ]
+    def _hold_first(self):
+        if self._first:
+            self._first = False
+            self.scanning.set()
+            self.release.wait(10)
+
+    def xor_scan(self, select_bits):
+        self._hold_first()
+        return super().xor_scan(select_bits)
+
+    def xor_scan_batch(self, select_matrix):
+        self._hold_first()
+        return super().xor_scan_batch(select_matrix)
+
+
+class TestArrivalAdmission:
+    """The reactor gates every GET read in a tick before answering any."""
+
+    def test_backlog_behind_a_slow_scan_is_shed(self):
+        db = SlowFirstScanDatabase(8, 64)
+        gate = AdmissionController(deadline_seconds=0.01,
+                                   initial_service_seconds=1.0)
+        logical = ZltpServer(db, modes=[MODE_PIR2], party=0, salt=SALT,
+                             probes=2, admission=gate)
+        server = ZltpEventLoopServer(logical)
+        key, _ = gen_dpf(3, db.domain_bits, rng=np.random.default_rng(0))
+
+        def get(transport, request_id):
+            transport.send_frame(msg.encode_message(
+                msg.GetRequest(request_id=request_id,
+                               payload=key.to_bytes())))
+
+        transports = []
         try:
-            transports = [connect_tcp(*srv.address) for srv in servers]
-            client = connect_client(transports)
-            assert client.get("s2.com/p") == b"evt-2"
-            client.close()
-            for server in servers:
-                server.stop()
-                assert server.worker_count == 0
-                assert server.active_connections == 0
+            for _ in range(5):
+                transport = connect_tcp(*server.address, io_timeout=10)
+                transport.send_frame(msg.encode_message(
+                    msg.ClientHello(["pir2"])))
+                assert isinstance(msg.decode_message(transport.recv_frame()),
+                                  msg.ServerHello)
+                transports.append(transport)
+            first, later = transports[0], transports[1:]
+            get(first, 0)
+            assert db.scanning.wait(10)
+            # The reactor is stuck in the first scan; four more GETs
+            # queue up in the kernel meanwhile.
+            for transport in later:
+                get(transport, 1)
+            db.release.set()
+            assert isinstance(msg.decode_message(first.recv_frame()),
+                              msg.GetResponse)
+            replies = [msg.decode_message(t.recv_frame()) for t in later]
+            shed = [r for r in replies if isinstance(r, msg.ErrorMessage)]
+            # The first GET of the backlog finds the gate idle and is
+            # admitted; the estimate sheds every one behind it.
+            assert len(shed) == 3
+            assert all(r.code == "overload" for r in shed)
+            assert sum(isinstance(r, msg.GetResponse) for r in replies) == 1
+            assert gate.queue_depth == 0
+            # Shedding is the server's state, not the client's fault:
+            # every shed session still gets an answer.
+            for transport in later:
+                get(transport, 2)
+                reply = msg.decode_message(transport.recv_frame())
+                assert isinstance(reply, msg.GetResponse)
+                assert reply.request_id == 2
+            assert gate.queue_depth == 0
+            assert gate.shed == 3
         finally:
-            for server in servers:
-                server.stop()
+            db.release.set()
+            for transport in transports:
+                transport.close()
+            server.stop()
+
+
+class TestCreateTcpServer:
+    def test_builds_the_reactor(self):
+        server = create_tcp_server(None, make_logical())
+        try:
+            assert isinstance(server, ZltpEventLoopServer)
+            transport = connect_tcp(*server.address)
+            transport.send_frame(msg.encode_message(msg.ClientHello(["pir2"])))
+            assert isinstance(msg.decode_message(transport.recv_frame()),
+                              msg.ServerHello)
+            transport.close()
+        finally:
+            server.stop()
+
+    def test_a_named_core_raises_typed_error(self):
+        with pytest.raises(ReproError, match="unknown session core"):
+            create_tcp_server("threaded", make_logical())

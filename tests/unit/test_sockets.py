@@ -1,4 +1,4 @@
-"""Tests for the real-TCP ZLTP transport."""
+"""Tests for the real-TCP ZLTP transport, served by the reactor."""
 
 import json
 import socket
@@ -10,9 +10,10 @@ import pytest
 
 from repro.core.zltp import messages as msg
 from repro.core.zltp.client import connect_client
+from repro.core.zltp.eventloop import ZltpEventLoopServer
 from repro.core.zltp.modes import MODE_PIR2
 from repro.core.zltp.server import ZltpServer
-from repro.core.zltp.sockets import StatsTcpServer, ZltpTcpServer, connect_tcp
+from repro.core.zltp.sockets import StatsTcpServer, connect_tcp
 from repro.core.zltp.wire import encode_frame
 from repro.errors import TransportError
 from repro.pir.database import BlobDatabase
@@ -32,8 +33,8 @@ def build_db():
 @pytest.fixture
 def tcp_pair():
     servers = [
-        ZltpTcpServer(ZltpServer(build_db(), modes=[MODE_PIR2], party=party,
-                                 salt=SALT, probes=2))
+        ZltpEventLoopServer(ZltpServer(build_db(), modes=[MODE_PIR2],
+                                       party=party, salt=SALT, probes=2))
         for party in (0, 1)
     ]
     yield servers
@@ -90,43 +91,6 @@ class TestTcpTransport:
 
 
 class TestServerLifecycle:
-    def test_eight_simultaneous_sessions_then_clean_stop(self, tcp_pair):
-        clients = []
-        for _ in range(8):
-            transports = [connect_tcp(*srv.address) for srv in tcp_pair]
-            clients.append(connect_client(transports))
-        # All eight sessions are live at once on each server.
-        for server in tcp_pair:
-            assert server.active_connections == 8
-            assert server.worker_count == 8
-        for i, client in enumerate(clients):
-            assert client.get(f"s{i % 10}.com/p") == f"tcp-{i % 10}".encode()
-        for client in clients:
-            client.close()
-        for server in tcp_pair:
-            server.stop()
-            assert server.worker_count == 0
-            assert server.active_connections == 0
-            assert not server._accept_thread.is_alive()
-
-    def test_finished_workers_are_pruned(self, tcp_pair):
-        server = tcp_pair[0]
-        for _ in range(5):
-            transport = connect_tcp(*server.address)
-            transport.send_frame(b"\x01garbage")  # session closes itself
-            transport.recv_frame()
-            transport.close()
-        # Opening one more connection prunes the dead handler threads.
-        transport = connect_tcp(*server.address)
-        try:
-            deadline = 50
-            while server.worker_count > 1 and deadline:
-                deadline -= 1
-                time.sleep(0.02)
-            assert server.worker_count <= 1
-        finally:
-            transport.close()
-
     def test_stop_unblocks_idle_client(self, tcp_pair):
         server = tcp_pair[0]
         transport = connect_tcp(*server.address)
@@ -243,8 +207,12 @@ class TestInternalErrorReply:
     def test_handler_bug_sends_error_message_not_silence(self, tcp_pair):
         class BoomSession:
             closed = False
+            scan_pending = False
 
-            def handle_frames(self, frames):
+            def receive(self, frames):
+                pass
+
+            def handle_frames(self, frames=()):
                 raise RuntimeError("handler bug")
 
             def close(self):
@@ -266,8 +234,12 @@ class TestInternalErrorReply:
     def test_server_survives_a_crashed_connection(self, tcp_pair):
         class BoomSession:
             closed = False
+            scan_pending = False
 
-            def handle_frames(self, frames):
+            def receive(self, frames):
+                pass
+
+            def handle_frames(self, frames=()):
                 raise RuntimeError("handler bug")
 
             def close(self):
@@ -489,8 +461,8 @@ class TestConfigurableIoTimeout:
     """Regression for the hardcoded ``conn.settimeout(5.0)``.
 
     The stats sidecar used to kill every scraper with a fixed 5-second
-    recv timeout regardless of deployment; both servers now thread a
-    configurable ``io_timeout`` through instead.
+    recv timeout regardless of deployment; it now takes a configurable
+    ``io_timeout``, and the ZLTP reactor reaps nobody by default.
     """
 
     def test_slow_scraper_survives_with_timeout_disabled(self):
@@ -528,30 +500,11 @@ class TestConfigurableIoTimeout:
         finally:
             sidecar.stop()
 
-    def test_zltp_idle_connection_reaped_with_reason(self):
-        server = ZltpTcpServer(
-            ZltpServer(build_db(), modes=[MODE_PIR2], party=0, salt=SALT,
-                       probes=2),
-            io_timeout=0.15)
-        try:
-            transport = connect_tcp(*server.address)
-            transport.send_frame(
-                msg.encode_message(msg.ClientHello(supported_modes=[MODE_PIR2])))
-            hello = msg.decode_message(transport.recv_frame())
-            assert isinstance(hello, msg.ServerHello)
-            # Park past the timeout: the server must say why it reaps.
-            time.sleep(0.5)
-            reap = msg.decode_message(transport.recv_frame())
-            assert isinstance(reap, msg.ErrorMessage)
-            assert reap.code == "idle-timeout"
-            transport.close()
-        finally:
-            server.stop()
-
     def test_zltp_default_is_patient(self):
-        server = ZltpTcpServer(
+        server = ZltpEventLoopServer(
             ZltpServer(build_db(), modes=[MODE_PIR2], party=0, salt=SALT,
-                       probes=2))
+                       probes=2), tick_seconds=0.05)
+        assert server.idle_timeout is None
         try:
             transport = connect_tcp(*server.address)
             transport.send_frame(
@@ -559,6 +512,8 @@ class TestConfigurableIoTimeout:
             assert isinstance(msg.decode_message(transport.recv_frame()),
                               msg.ServerHello)
             time.sleep(0.4)  # would have been reaped under a tight timeout
+            assert server.idle_reaped == 0
+            assert server.active_connections == 1
             transport.send_frame(msg.encode_message(msg.Bye()))
             transport.close()
         finally:
